@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench smoke-trace smoke-shard smoke-serve smoke-index smoke-profile experiments fidelity
+.PHONY: test lint bench-smoke bench perfbench-test smoke-trace smoke-shard smoke-serve smoke-index smoke-profile experiments fidelity
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -22,6 +22,12 @@ bench-smoke:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only $(PYTEST_BENCH_FLAGS)
+
+# The wall-clock benchmark's own tests (~1.5 min): its timing
+# arithmetic, a tiny-scale smoke of each workload driver, and the
+# output checks each workload runs (perfbench/README.md).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Regenerate EXPERIMENTS.md from the calibrated full-scale study
 # (scale 1.0, seed 7).  CI asserts the committed file matches, so the

@@ -49,8 +49,11 @@ pair set as the on-disk join index the data lake serves from.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import struct
 from collections import defaultdict
+from typing import Iterable
 
 from ..ingest.pipeline import IngestedTable
 from ..obs.profile import prof_scope
@@ -160,35 +163,80 @@ def empty_table_signatures(table_id: str) -> TableJoinSignatures:
     return TableJoinSignatures(table_id=table_id, columns=())
 
 
-def signature_of_values(
-    values: frozenset[str] | set[str],
-    hasher: MinHasher,
-    cache: dict[str, tuple[int, ...]] | None = None,
-) -> tuple[int, ...]:
-    """MinHash signature of a normalized value set.
+def _spread(lanes: Iterable[int]) -> int:
+    """Pack one int per permutation into consecutive 128-bit lanes."""
+    return int.from_bytes(
+        b"".join(v.to_bytes(16, "little") for v in lanes), "little"
+    )
 
-    Identical to :meth:`MinHasher.signature` (min is order-free), but
-    with an optional per-corpus *cache* of each value's permuted hash
-    vector — OGDP columns repeat values heavily across tables (the
-    paper's §4 finding), so caching turns repeated values into a
-    single-min update.
+
+@dataclasses.dataclass(frozen=True)
+class _Lanes:
+    """Packed constants of one coefficient family (see DESIGN.md §14)."""
+
+    a: int
+    b: int
+    ones: int
+    low32: int
+    bit32: int
+    low61: int
+    low67: int
+    unpack: struct.Struct
+
+
+@functools.lru_cache(maxsize=16)
+def _lanes(coefficients: tuple[tuple[int, int], ...]) -> _Lanes:
+    """Lane constants, memoized so pooled ``joinsig`` units share them."""
+    k = len(coefficients)
+    return _Lanes(
+        a=_spread(a for a, _ in coefficients),
+        b=_spread(b for _, b in coefficients),
+        ones=_spread([1] * k),
+        low32=_spread([_MAX_HASH] * k),
+        bit32=_spread([1 << 32] * k),
+        low61=_spread([_MERSENNE] * k),
+        low67=_spread([(1 << 67) - 1] * k),
+        unpack=struct.Struct("<" + "I12x" * k),
+    )
+
+
+def signature_of_values(
+    values: Iterable[str],
+    hasher: MinHasher,
+    cache: dict[str, int] | None = None,
+) -> tuple[int, ...]:
+    """MinHash signature of a value set: the one MinHash kernel.
+
+    Position *i* is ``min(((a_i*h + b_i) mod (2^61-1)) & (2^32-1))``
+    over the values' stable hashes *h*.  All permutations run at once
+    on packed ints, one 128-bit lane each: a single multiply-add, two
+    Mersenne folds and a conditional subtract give every lane's hash,
+    and a lane-wise (SWAR) min keeps the running minimum.  The
+    optional per-corpus *cache* maps a value to its packed hashes —
+    OGDP columns repeat values heavily across tables (the paper's §4
+    finding), so a repeated value costs one SWAR min.
     """
-    if not values:
-        return tuple([_MAX_HASH] * hasher.num_perm)
-    best: tuple[int, ...] | None = None
+    lanes = _lanes(hasher.coefficients)
+    best = lanes.low32
     for value in values:
-        vector = cache.get(value) if cache is not None else None
-        if vector is None:
-            h = _stable_hash(value)
-            vector = tuple(
-                ((a * h + b) % _MERSENNE) & _MAX_HASH
-                for a, b in hasher.coefficients
-            )
+        packed = cache.get(value) if cache is not None else None
+        if packed is None:
+            # Lanes stay < 2^126, then < 2^66, then < 2^61 + 32 after
+            # each fold, so no step carries into the next lane.
+            x = lanes.a * _stable_hash(value) + lanes.b
+            x = (x & lanes.low61) + ((x >> 61) & lanes.low67)
+            x = (x & lanes.low61) + ((x >> 61) & lanes.low67)
+            # x >= M = 2^61 - 1 iff bit 61 of x + 1 is set; adding that
+            # bit, then masking bit 61 off below, is x - M.
+            x += ((x + lanes.ones) >> 61) & lanes.ones
+            packed = x & lanes.low32
             if cache is not None:
-                cache[value] = vector
-        best = vector if best is None else tuple(map(min, best, vector))
-    assert best is not None
-    return best
+                cache[value] = packed
+        # Lane bit 32 of diff is set iff best >= packed; then the low
+        # 32 bits are best - packed, and subtracting them leaves packed.
+        diff = (best | lanes.bit32) - packed
+        best -= diff & (((diff >> 32) & lanes.ones) * _MAX_HASH)
+    return lanes.unpack.unpack(best.to_bytes(lanes.unpack.size, "little"))
 
 
 def compute_table_signatures(
@@ -200,7 +248,7 @@ def compute_table_signatures(
     seed: int = 1,
     meter: WorkMeter | None = None,
     hasher: MinHasher | None = None,
-    cache: dict[str, tuple[int, ...]] | None = None,
+    cache: dict[str, int] | None = None,
 ) -> TableJoinSignatures:
     """The ``joinsig`` unit computation over one cleaned table.
 
@@ -360,7 +408,7 @@ def lsh_joinable_pairs_flagged(
     """
     if signatures is None:
         hasher = MinHasher.create(num_perm=params.num_perm, seed=seed)
-        cache: dict[str, tuple[int, ...]] = {}
+        cache: dict[str, int] = {}
         signatures = {}
         with prof_scope(meter, "minhash", "signature"):
             for profile in profiles:

@@ -45,8 +45,7 @@ class MinHasher:
         ``sha256("minhash:<seed>:<i>")`` — 16 digest bytes for the
         multiplier (nonzero mod the Mersenne prime), 16 for the offset —
         which keeps on-disk signatures stable across interpreter
-        upgrades.  The pre-fix ``random.Random`` draw survives as
-        :meth:`create_legacy` for old artifacts and the compat test.
+        upgrades.
         """
         coefficients = []
         for i in range(num_perm):
@@ -58,33 +57,17 @@ class MinHasher:
             coefficients.append((a, b))
         return cls(num_perm=num_perm, coefficients=tuple(coefficients))
 
-    @classmethod
-    def create_legacy(cls, num_perm: int = 128, seed: int = 1) -> "MinHasher":
-        """The pre-sha256 hasher, coefficients drawn from ``random.Random``.
-
-        Kept so signatures written by older runs remain reproducible;
-        new code should always use :meth:`create`.
-        """
-        import random
-
-        rng = random.Random(seed)
-        coefficients = tuple(
-            (rng.randrange(1, _MERSENNE), rng.randrange(0, _MERSENNE))
-            for _ in range(num_perm)
-        )
-        return cls(num_perm=num_perm, coefficients=coefficients)
-
     def signature(self, values: Iterable[str]) -> tuple[int, ...]:
-        """MinHash signature of a value set."""
-        hashes = [_stable_hash(v) for v in values]
-        if not hashes:
-            return tuple([_MAX_HASH] * self.num_perm)
-        signature = []
-        for a, b in self.coefficients:
-            signature.append(
-                min(((a * h + b) % _MERSENNE) & _MAX_HASH for h in hashes)
-            )
-        return tuple(signature)
+        """MinHash signature of a value set.
+
+        Runs the packed kernel
+        :func:`~repro.joinability.lshindex.signature_of_values`, so the
+        ablation index and the production join index hash identically.
+        """
+        # lshindex builds on this module, so import at call time.
+        from .lshindex import signature_of_values
+
+        return signature_of_values(values, self)
 
 
 def estimate_jaccard(left: tuple[int, ...], right: tuple[int, ...]) -> float:
