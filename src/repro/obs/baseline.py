@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import pathlib
 import re
 import statistics
 from typing import Iterable, Mapping
+
+from ..io import atomic_write_text
 
 #: Filename pattern for bench histories at the repository root.
 BENCH_GLOB = "BENCH_*.json"
@@ -198,13 +199,12 @@ def append_record(
 
     Existing records are recovered with the tolerant reader (so a
     previously truncated file loses only its torn tail, not its
-    history), and the updated array is written via a same-directory
-    temp file plus :func:`os.replace` so readers never observe a
+    history), and the updated array is written with
+    :func:`repro.io.atomic_write_text` so readers never observe a
     partially written file.  Shared by the bench harness and the
     load-test CLI.
     """
     path = pathlib.Path(root) / f"BENCH_{experiment_id}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
     records: list = []
     if path.exists():
         try:
@@ -213,13 +213,9 @@ def append_record(
             text = ""
         records = salvage_json_objects(text)
     records.append(dict(record))
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(records, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    return atomic_write_text(
+        path, json.dumps(records, indent=2, sort_keys=True) + "\n"
     )
-    os.replace(tmp, path)
-    return path
 
 
 def comparable_history(records: Iterable[BenchRecord]) -> list[BenchRecord]:

@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import pathlib
 from typing import Iterable, Mapping
 
+from ..io import atomic_write_text, read_jsonl
 from .quantiles import percentile_nearest_rank
 
 #: Profile artifact format version.
@@ -176,17 +176,12 @@ def write_profile(
     profiler: Profiler,
     meta: Mapping | None = None,
 ) -> None:
-    """Write the profile artifact via write-to-temp + atomic rename."""
-    target = pathlib.Path(path)
-    if target.parent != pathlib.Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    text = (
+    """Write the profile artifact atomically."""
+    atomic_write_text(
+        path,
         json.dumps(profile_doc(profiler, meta), sort_keys=True, indent=2)
-        + "\n"
+        + "\n",
     )
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, target)
 
 
 def read_profile(path: str | pathlib.Path) -> dict:
@@ -209,9 +204,11 @@ def frames_from_trace(path: str | pathlib.Path) -> dict:
     span names from the root down.  The result loads anywhere a real
     profile artifact does, so ``profile-report`` accepts either.
     """
-    from .trace import read_trace
+    return _frames_from_records(read_jsonl(path)[0])
 
-    spans = [r for r in read_trace(path) if r.get("type") == "span"]
+
+def _frames_from_records(records: Iterable[dict]) -> dict:
+    spans = [r for r in records if r.get("type") == "span"]
     by_id = {r.get("id"): r for r in spans}
     frames: dict[str, int] = {}
     for record in spans:
@@ -236,14 +233,24 @@ def frames_from_trace(path: str | pathlib.Path) -> dict:
 
 
 def load_any_profile(path: str | pathlib.Path) -> dict:
-    """Load *path* as a profile artifact or, failing that, as a trace."""
+    """Load *path* as a profile artifact or, failing that, as a trace.
+
+    Raises :class:`ValueError` when *path* is neither — in particular
+    for a truncated profile, whose lines hold no intact trace record
+    and which must not pass as an empty trace.
+    """
     try:
         return read_profile(path)
-    except ValueError:
+    except ValueError as exc:
         # Not a profile document (JSONDecodeError included): a trace's
         # first line parses but has no 'frames', a JSONL body fails
         # json.load outright.  Either way, derive from the spans.
-        return frames_from_trace(path)
+        records = [r for r in read_jsonl(path)[0] if "type" in r]
+        if not records:
+            raise ValueError(
+                f"{path}: neither a profile artifact nor a trace ({exc})"
+            ) from exc
+        return _frames_from_records(records)
 
 
 def merge_frame_counts(

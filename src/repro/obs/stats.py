@@ -13,8 +13,9 @@ whose totals reconcile exactly with the executor's recorded
 from __future__ import annotations
 
 import dataclasses
-import json
 import pathlib
+
+from ..io import read_jsonl
 
 #: Width of the '#' attribution bars in the text report.
 BAR_WIDTH = 24
@@ -68,35 +69,21 @@ def load_trace(path: str | pathlib.Path) -> TraceData:
     spans: list[dict] = []
     metrics: dict[str, dict] = {}
     footer: dict | None = None
-    torn = 0
-    with pathlib.Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                torn += 1
-                continue
-            if not isinstance(record, dict):
-                torn += 1
-                continue
-            rtype = record.get("type")
-            if rtype == "header":
-                header = record
-            elif rtype == "span":
-                spans.append(record)
-            elif rtype == "metric":
-                name = record.get("name")
-                if name is not None:
-                    metrics[name] = {
-                        k: v
-                        for k, v in record.items()
-                        if k not in ("type", "name")
-                    }
-            elif rtype == "footer":
-                footer = record
+    records, torn = read_jsonl(path)
+    for record in records:
+        rtype = record.get("type")
+        if rtype == "header":
+            header = record
+        elif rtype == "span":
+            spans.append(record)
+        elif rtype == "metric":
+            name = record.get("name")
+            if name is not None:
+                metrics[name] = {
+                    k: v for k, v in record.items() if k not in ("type", "name")
+                }
+        elif rtype == "footer":
+            footer = record
     problems = validate_spans(spans)
     if footer is not None and footer.get("spans") != len(spans):
         problems.append(

@@ -12,19 +12,20 @@ tracer is built with ``wall_clock=True`` (the CLI's ``--wall-clock``),
 which intentionally forfeits that reproducibility.
 
 Crash tolerance mirrors the crawl/study journals: records are written
-line-by-line as spans finish, and :func:`read_trace` skips any torn or
-malformed line, so a trace cut off mid-write still yields every span
-that completed.
+line-by-line as spans finish (:class:`repro.io.JsonlWriter`), and
+:func:`read_trace` skips any torn or malformed line, so a trace cut off
+mid-write still yields every span that completed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import pathlib
 import time
 from contextlib import contextmanager
-from typing import IO, Iterator
+from typing import Iterator
+
+from ..io import JsonlWriter, read_jsonl
 
 
 @dataclasses.dataclass
@@ -55,26 +56,12 @@ class Span:
         self.self_ops += ops
 
 
-class TraceWriter:
-    """Append-one-line-per-record JSONL sink with immediate flush."""
+class TraceWriter(JsonlWriter):
+    """A fresh trace file that starts with its header record."""
 
     def __init__(self, path: str | pathlib.Path, header: dict | None = None):
-        self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle: IO[str] | None = self.path.open("w", encoding="utf-8")
+        super().__init__(path)
         self.write({"type": "header", **(header or {})})
-
-    def write(self, record: dict) -> None:
-        """Write one record as a complete, flushed JSON line."""
-        if self._handle is None:
-            return
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
 
 
 class Tracer:
@@ -177,16 +164,4 @@ class Tracer:
 
 def read_trace(path: str | pathlib.Path) -> Iterator[dict]:
     """Yield every intact record of a trace file, skipping torn lines."""
-    with pathlib.Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                # Torn trailing line from a mid-write kill — every
-                # complete record before it is still usable.
-                continue
-            if isinstance(record, dict):
-                yield record
+    yield from read_jsonl(path)[0]

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import base64
 import dataclasses
-import json
 import pathlib
-from typing import IO, Iterator
+from typing import Iterator
+
+from ..io import JsonlWriter, read_jsonl
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,83 +41,101 @@ class JournalEntry:
     #: Raw fetched bytes; only recorded for outcomes that yield a table.
     payload: bytes | None = None
 
-    def to_json(self) -> str:
+    @property
+    def key(self) -> str:
+        """The journal key of this entry."""
+        return self.resource_id
+
+    def to_record(self) -> dict:
         record = dataclasses.asdict(self)
         record["payload"] = (
             base64.b64encode(self.payload).decode("ascii")
             if self.payload is not None
             else None
         )
-        return json.dumps(record, sort_keys=True)
+        return record
 
     @classmethod
-    def from_json(cls, line: str) -> "JournalEntry":
-        record = json.loads(line)
-        payload = record.get("payload")
-        record["payload"] = (
-            base64.b64decode(payload) if payload is not None else None
+    def from_record(cls, record: dict) -> "JournalEntry":
+        record = dict(record)
+        payload = record.pop("payload", None)
+        return cls(
+            **record,
+            payload=base64.b64decode(payload) if payload is not None else None,
         )
-        return cls(**record)
 
 
-class CrawlJournal:
-    """Append-only, resource-keyed checkpoint store for one portal crawl.
+class KeyedJournal:
+    """Append-only, keyed JSONL checkpoint store.
 
-    Entries are flushed line-by-line as resources finish, so an
-    interrupted process loses at most the resource it was working on.
-    Opening an existing journal loads all previously completed entries;
-    ``record`` appends new ones.
+    Opening an existing journal loads every intact record (a later
+    record for the same key wins); :meth:`record` appends new ones and
+    flushes each line immediately, so an interrupted process loses at
+    most the unit it was working on.  A torn line — a kill mid-write,
+    or a record the codec rejects — is skipped and its unit simply
+    recomputed.  With a *metrics* registry the load is counted as
+    ``journal.torn_lines`` and ``journal.loaded_records``.
+
+    Subclasses set :attr:`record_type`, a class with a ``key``
+    property, ``to_record()`` and ``from_record(dict)``.
     """
 
-    def __init__(self, path: str | pathlib.Path):
+    record_type: type
+
+    def __init__(self, path: str | pathlib.Path, metrics=None):
         self.path = pathlib.Path(path)
-        self._entries: dict[str, JournalEntry] = {}
-        self._handle: IO[str] | None = None
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = JournalEntry.from_json(line)
-                    except (ValueError, KeyError, TypeError):
-                        # A process killed mid-write leaves a torn final
-                        # line; everything before it is still valid, and
-                        # the torn resource is simply re-fetched.
-                        continue
-                    self._entries[entry.resource_id] = entry
+        self._records: dict = {}
+        self._writer: JsonlWriter | None = None
+        if not self.path.exists():
+            return
+        objects, torn = read_jsonl(self.path)
+        for obj in objects:
+            try:
+                record = self.record_type.from_record(obj)
+            except (ValueError, KeyError, TypeError):
+                torn += 1
+                continue
+            self._records[record.key] = record
+        if metrics is not None:
+            if torn:
+                metrics.inc("journal.torn_lines", torn)
+            if self._records:
+                metrics.inc("journal.loaded_records", len(self._records))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._records)
 
-    def __contains__(self, resource_id: str) -> bool:
-        return resource_id in self._entries
+    def __contains__(self, key) -> bool:
+        return key in self._records
 
-    def __iter__(self) -> Iterator[JournalEntry]:
-        return iter(self._entries.values())
+    def __iter__(self) -> Iterator:
+        return iter(self._records.values())
 
-    def get(self, resource_id: str) -> JournalEntry | None:
-        """The checkpointed entry for *resource_id*, if any."""
-        return self._entries.get(resource_id)
+    def get(self, key):
+        """The checkpointed record for *key*, if any."""
+        return self._records.get(key)
 
-    def record(self, entry: JournalEntry) -> None:
-        """Append *entry* and flush it to disk immediately."""
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._entries[entry.resource_id] = entry
-        self._handle.write(entry.to_json() + "\n")
-        self._handle.flush()
+    def record(self, record) -> None:
+        """Append *record* and flush it to disk immediately."""
+        if self._writer is None:
+            self._writer = JsonlWriter(self.path, mode="a")
+        self._records[record.key] = record
+        self._writer.write(record.to_record())
 
     def close(self) -> None:
-        """Close the underlying file handle (entries stay readable)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        """Close the underlying file handle (records stay readable)."""
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
 
-    def __enter__(self) -> "CrawlJournal":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class CrawlJournal(KeyedJournal):
+    """Resource-keyed checkpoint store for one portal crawl."""
+
+    record_type = JournalEntry

@@ -27,10 +27,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import os
 import pathlib
 from typing import Callable, Mapping
 
+from ..io import atomic_write_text
 from ..obs.profile import prof_scope
 from .budget import BudgetExceeded, WorkMeter
 from .study_journal import StageRecord, StudyJournal
@@ -412,12 +412,10 @@ class AnalysisExecutor:
     def _write_quarantine_file(self, outcome: StageOutcome) -> None:
         if self.quarantine_dir is None or outcome.table_id == PORTAL_WIDE:
             return
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        path = (
-            self.quarantine_dir
-            / f"{outcome.portal}-{outcome.table_id}.json"
-        )
-        text = (
+        # Atomic so a process killed mid-write (a real event under the
+        # chaos-enabled pool) never leaves a torn record.
+        atomic_write_text(
+            self.quarantine_dir / f"{outcome.portal}-{outcome.table_id}.json",
             json.dumps(
                 {
                     "portal": outcome.portal,
@@ -431,13 +429,8 @@ class AnalysisExecutor:
                 sort_keys=True,
                 indent=2,
             )
-            + "\n"
+            + "\n",
         )
-        # Write-then-rename so a process killed mid-write (a real event
-        # under the chaos-enabled pool) never leaves a torn record.
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
 
     # ------------------------------------------------------------------
     # queries

@@ -56,7 +56,6 @@ never the pipes.
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import os
 import pathlib
@@ -66,6 +65,7 @@ import tempfile
 from collections import deque
 from multiprocessing import connection as mp_connection
 
+from ..io import atomic_write_text, jsonl_line, read_jsonl
 from ..obs.metrics import MetricsRegistry
 from ..obs.profile import Profiler
 from .budget import WorkMeter
@@ -203,37 +203,27 @@ def read_shard(
         return []
     envelopes: list[dict] = []
     header_seen = False
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise TypeError("shard line is not an object")
-            except (ValueError, TypeError):
-                continue
-            if "fingerprint" in obj:
-                if obj["fingerprint"] != fingerprint:
-                    return []
-                header_seen = True
-                continue
-            if "unit" in obj and "record" in obj:
-                envelopes.append(obj)
+    for obj in read_jsonl(path)[0]:
+        if "fingerprint" in obj:
+            if obj["fingerprint"] != fingerprint:
+                return []
+            header_seen = True
+            continue
+        if "unit" in obj and "record" in obj:
+            envelopes.append(obj)
     return envelopes if header_seen else []
 
 
 def merge_shards(
     shard_paths: list[pathlib.Path], fingerprint: dict
 ) -> dict[tuple[str, str, str], dict]:
-    """Reconcile shard envelopes into one per-unit map, oldest-path order.
+    """Reconcile shard envelopes into one per-unit map, sorted-path order.
 
-    The envelope-level sibling of :meth:`StudyJournal.merge`: duplicate
-    units (a re-dispatch whose first worker persisted before dying)
-    must carry byte-identical records — the determinism contract makes
-    honest duplicates equal — so a differing duplicate raises
-    :class:`MergeConflict` instead of silently picking a side.
+    Duplicate units (a re-dispatch whose first worker persisted before
+    dying) must carry identical records and profile snapshots — the
+    determinism contract makes honest duplicates equal — so a differing
+    duplicate raises :class:`MergeConflict` instead of silently picking
+    a side.
     """
     merged: dict[tuple[str, str, str], dict] = {}
     origin: dict[tuple[str, str, str], pathlib.Path] = {}
@@ -311,18 +301,11 @@ def _worker_main(slot, config, task_conn, result_conn, shard_dir):
     }
 
     def persist() -> None:
-        tmp = shard_path.with_suffix(".jsonl.tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {"shard": name, "fingerprint": fingerprint},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            for envelope in envelopes.values():
-                handle.write(json.dumps(envelope, sort_keys=True) + "\n")
-        os.replace(tmp, shard_path)
+        header = {"shard": name, "fingerprint": fingerprint}
+        atomic_write_text(
+            shard_path,
+            "".join(map(jsonl_line, [header, *envelopes.values()])),
+        )
 
     heartbeat_every = HEARTBEAT_TICKS
     if config.straggler_ticks is not None:

@@ -9,29 +9,28 @@ stage-specific payload (e.g. the per-table FD/normalization
 contribution).  A study killed mid-analysis and rerun with the same
 journal replays completed units instead of recomputing them.
 
-Flush and recovery semantics are identical to ``CrawlJournal``: every
-record is flushed line-by-line as it completes, and a torn trailing
-line left by a mid-write kill is skipped on reload (the torn unit is
-simply recomputed).
+Both journals are one :class:`~repro.resilience.checkpoint.KeyedJournal`
+implementation: every record is flushed line-by-line as it completes,
+and a torn trailing line left by a mid-write kill is skipped on reload
+(the torn unit is simply recomputed).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
-from typing import IO, Iterator
+
+from .checkpoint import KeyedJournal
 
 
 class MergeConflict(RuntimeError):
     """Two shard journals disagree about one completed unit.
 
-    Raised by :meth:`StudyJournal.merge` when the same ``(stage,
-    table_id)`` key appears in multiple shards with *different* record
-    contents.  Under the determinism contract this is impossible for
-    honestly computed units — equal inputs produce equal records — so a
-    conflict always means shard corruption or a scheduler bug, and the
-    merge refuses to guess which side is right.
+    Raised by :func:`~repro.resilience.pool.merge_shards` when the same
+    unit appears in multiple shards with *different* record contents.
+    Under the determinism contract this is impossible for honestly
+    computed units — equal inputs produce equal records — so a conflict
+    always means shard corruption or a scheduler bug, and the merge
+    refuses to guess which side is right.
     """
 
 
@@ -59,159 +58,19 @@ class StageRecord:
         """The journal key of this record."""
         return (self.stage, self.table_id)
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+    def to_record(self) -> dict:
+        return dataclasses.asdict(self)
 
     @classmethod
-    def from_json(cls, line: str) -> "StageRecord":
-        return cls(**json.loads(line))
+    def from_record(cls, record: dict) -> "StageRecord":
+        return cls(**record)
 
 
-class StudyJournal:
-    """Append-only, stage-keyed checkpoint store for one portal's analyses.
+class StudyJournal(KeyedJournal):
+    """Stage-keyed checkpoint store for one portal's analyses."""
 
-    Opening an existing journal loads all previously completed units;
-    ``record`` appends new ones and flushes immediately, so an
-    interrupted process loses at most the unit it was computing.
-    """
-
-    def __init__(self, path: str | pathlib.Path, metrics=None):
-        self.path = pathlib.Path(path)
-        self._metrics = metrics
-        self._records: dict[tuple[str, str], StageRecord] = {}
-        self._handle: IO[str] | None = None
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = StageRecord.from_json(line)
-                    except (ValueError, KeyError, TypeError):
-                        # Torn trailing line from a mid-write kill:
-                        # everything before it is still valid, and the
-                        # torn unit is simply recomputed.
-                        if metrics is not None:
-                            metrics.inc("journal.torn_lines")
-                        continue
-                    self._records[record.key] = record
-            if metrics is not None and self._records:
-                metrics.inc("journal.loaded_records", len(self._records))
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self._records
-
-    def __iter__(self) -> Iterator[StageRecord]:
-        return iter(self._records.values())
+    record_type = StageRecord
 
     def get(self, stage: str, table_id: str) -> StageRecord | None:
         """The checkpointed record for ``(stage, table_id)``, if any."""
-        return self._records.get((stage, table_id))
-
-    def record(self, record: StageRecord) -> None:
-        """Append *record* and flush it to disk immediately."""
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._records[record.key] = record
-        self._handle.write(record.to_json() + "\n")
-        self._handle.flush()
-
-    @classmethod
-    def merge(
-        cls,
-        path: str | pathlib.Path,
-        shards: "list[str | pathlib.Path]",
-        metrics=None,
-    ) -> "StudyJournal":
-        """Reconcile per-worker shard journals into one canonical journal.
-
-        Reads every shard in sorted-path order (deterministic regardless
-        of which worker finished first), tolerating torn trailing lines
-        exactly like the constructor, and writes the union of their
-        records to *path*.  Units that appear in several shards — a
-        re-dispatched unit whose first worker died *after* persisting
-        its shard line — are deduplicated when the records are
-        identical; records that *differ* for the same ``(stage,
-        table_id)`` key raise :class:`MergeConflict`, because under the
-        determinism contract equal inputs must yield equal records.
-
-        Shard lines may be bare :class:`StageRecord` objects or pool
-        envelopes carrying a ``"record"`` field; non-record envelope
-        lines (shard headers) are ignored.  Records already present in
-        an existing journal at *path* are kept (and conflict-checked),
-        not rewritten.
-        """
-        merged: dict[tuple[str, str], StageRecord] = {}
-        origin: dict[tuple[str, str], pathlib.Path] = {}
-        for shard in sorted(pathlib.Path(s) for s in shards):
-            if not shard.exists():
-                continue
-            for record in cls._iter_shard_records(shard, metrics):
-                key = record.key
-                previous = merged.get(key)
-                if previous is not None:
-                    if previous != record:
-                        raise MergeConflict(
-                            f"shard {shard} disagrees with "
-                            f"{origin[key]} about unit {key!r}"
-                        )
-                    if metrics is not None:
-                        metrics.inc("journal.merge_duplicates")
-                    continue
-                merged[key] = record
-                origin[key] = shard
-        journal = cls(path, metrics=metrics)
-        for record in merged.values():
-            existing = journal.get(*record.key)
-            if existing is not None:
-                if existing != record:
-                    raise MergeConflict(
-                        f"shard {origin[record.key]} disagrees with "
-                        f"canonical journal {journal.path} about unit "
-                        f"{record.key!r}"
-                    )
-                continue
-            journal.record(record)
-        return journal
-
-    @staticmethod
-    def _iter_shard_records(
-        shard: pathlib.Path, metrics=None
-    ) -> Iterator[StageRecord]:
-        """Yield the valid records in one shard file, skipping torn lines."""
-        with shard.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    if not isinstance(obj, dict):
-                        raise TypeError("shard line is not an object")
-                    if "record" in obj:  # pool envelope
-                        obj = obj["record"]
-                    elif "stage" not in obj:  # shard header line
-                        continue
-                    record = StageRecord(**obj)
-                except (ValueError, KeyError, TypeError):
-                    if metrics is not None:
-                        metrics.inc("journal.torn_lines")
-                    continue
-                yield record
-
-    def close(self) -> None:
-        """Close the underlying file handle (records stay readable)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "StudyJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        return super().get((stage, table_id))

@@ -15,8 +15,8 @@ shard files, bench records):
   and the full corpus-config fingerprint (seed, scale, portal,
   threshold, unique-value floor, LSH geometry).  A mismatch loads as
   ``stale``, never as silently wrong answers;
-* **atomic** — written to a temp file then ``os.replace``d, so a crash
-  mid-write leaves either the old index or none;
+* **atomic** — written through :func:`repro.io.atomic_write_text`, so
+  a crash mid-write leaves either the old index or none;
 * **torn-tolerant** — a truncated or corrupt file loads as ``miss``
   (the lake rebuilds and overwrites it), never as an exception;
 * **integrity-checked by the caller** — the file records each
@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import pathlib
 
+from ..io import atomic_write_text
 from ..joinability.lshindex import DEFAULT_LSH_PARAMS, LshParams
 from ..joinability.pairs import JoinablePair
 
@@ -109,8 +109,6 @@ class JoinIndexStore:
 
     def save(self, index: StoredJoinIndex) -> pathlib.Path:
         """Persist *index* atomically; returns the final path."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path(index.portal_code, index.threshold)
         document = {
             "version": INDEX_VERSION,
             "portal": index.portal_code,
@@ -123,12 +121,10 @@ class JoinIndexStore:
                 for p in index.pairs
             ],
         }
-        tmp = path.with_suffix(".json.tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-        return path
+        return atomic_write_text(
+            self.path(index.portal_code, index.threshold),
+            json.dumps(document, sort_keys=True) + "\n",
+        )
 
     def load(
         self, portal_code: str, threshold: float, fingerprint: dict

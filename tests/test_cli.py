@@ -650,3 +650,19 @@ class TestProfileCommands:
             tmp_path / "a.json", {"study;SG;fd.refine": 10}
         )
         assert main(["profile-diff", base, str(tmp_path / "nope")]) == 2
+
+    def test_truncated_profile_is_unreadable(self, capsys, tmp_path):
+        """A torn profile artifact must fail both commands, not load as
+        an empty trace that passes the gate."""
+        good = self._write_profile(
+            tmp_path / "good.json",
+            {"study;SG;fd.refine": 9_000, "study;SG;screen.cell": 1_000},
+        )
+        text = (tmp_path / "good.json").read_text(encoding="utf-8")
+        torn = tmp_path / "torn.json"
+        torn.write_text(text[: len(text) // 2], encoding="utf-8")
+        assert main(["profile-report", str(torn)]) == 2
+        assert main(["profile-diff", good, str(torn)]) == 2
+        assert main(["profile-diff", str(torn), good]) == 2
+        out = capsys.readouterr().out
+        assert "no frame regressions" not in out

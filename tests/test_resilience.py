@@ -1,10 +1,12 @@
 """Unit tests for the resilient crawl layer (repro.resilience)."""
 
+import json
 import pathlib
 import random
 
 import pytest
 
+from repro.io import jsonl_line
 from repro.portal import (
     BlobStore,
     FailureMode,
@@ -349,13 +351,18 @@ class TestCrawlJournal:
             payload=payload,
         )
 
+    @staticmethod
+    def through_json(entry):
+        line = jsonl_line(entry.to_record())
+        return JournalEntry.from_record(json.loads(line))
+
     def test_roundtrip_through_json(self):
         entry = self.entry()
-        assert JournalEntry.from_json(entry.to_json()) == entry
+        assert self.through_json(entry) == entry
 
     def test_entry_without_payload_roundtrips(self):
         entry = self.entry(payload=None)
-        assert JournalEntry.from_json(entry.to_json()) == entry
+        assert self.through_json(entry) == entry
 
     def test_record_and_reload(self, tmp_path):
         path = tmp_path / "journal.jsonl"
